@@ -20,7 +20,33 @@ optionally materialize it back into a persisted
 Two execution modes: ``interpreted`` runs the per-cell loop exactly as
 the pseudo-code reads (used for the figures so the relational baseline,
 also per-tuple Python, pays symmetric interpreter costs);
-``vectorized`` runs the same mapping with numpy gathers per chunk.
+``vectorized`` runs the same mapping with numpy gathers per chunk and
+folds the cells into the result array in batches.
+
+The vectorized result is exact, and equal to the interpreted one:
+
+- **Integer accumulation.**  On an ``int64`` array, sum/min/max/count
+  (and avg's sum) are ``int64`` result columns — never float64.  Before
+  a fold could carry a sum past int64 (a bound on the magnitude of
+  every partial sum is kept per column), that column switches to Python
+  ints (an object array), the same values the interpreted fold returns.
+  Nothing wraps and nothing rounds.
+- **Float summation order.**  On a ``float64`` array, sums fold with
+  ordered ``np.add.at`` over the cells in scan order — the order the
+  interpreted loop adds them — so they round identically.  A per-batch
+  reduction (``bincount``) would round differently once several batches
+  fold into one cell.
+- **Integer avg** divides the exact Python-int sum by the count
+  (``s / c``, correctly rounded), as :class:`repro.aggregates.Avg` does.
+- **Bounded fold buffer.**  ``add_many`` queues ``(linear, values)``
+  batches and folds them in one pass once :data:`FOLD_CELLS` cells are
+  pending, and before any read of the state (rows, touched cells, shard
+  export, merge).  So the buffer never grows past one fold's worth.
+
+Rows are extracted columnwise: the touched result cells
+(``np.flatnonzero`` of the per-cell counts) decode positionally into
+one group-value column per kept dimension, the columns zip into row
+tuples, and the rows sort once.
 """
 
 from __future__ import annotations
@@ -37,7 +63,12 @@ from repro.errors import QueryError
 from repro.obs.tracer import get_tracer
 from repro.util.stats import Counters
 
-_VECTOR_AGGS = {"sum", "count", "min", "max"}
+_VECTOR_AGGS = {"sum", "count", "min", "max", "avg"}
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: pending input cells that trigger a vectorized fold: a fold still spans
+#: many chunks, while the buffer and its concatenation stay ~128 KiB
+FOLD_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -117,6 +148,12 @@ class ResultAccumulator:
     * stride[d]`` where each dimension's result index comes from its
     IndexToIndex array.  Dropped dimensions contribute a size-1 axis and
     are omitted from output rows.
+
+    The interpreted path folds one cell at a time into per-cell
+    :class:`~repro.aggregates.Aggregate` states.  The vectorized path
+    buffers ``(linear, values)`` batches and folds them into one result
+    column per measure (plus a per-cell input count) once the buffer
+    holds :data:`FOLD_CELLS` cells, and before anything reads the state.
     """
 
     def __init__(
@@ -145,11 +182,18 @@ class ResultAccumulator:
             )
         self.agg_names = names
         self.aggs = [get_aggregate(n) for n in names]
+        self._unvectorizable = [n for n in names if n not in _VECTOR_AGGS]
+        self._integral = array.dtype == "int64"
         # interpreted state: one list of per-measure states per touched cell
         self._states: dict[int, list] = {}
-        # vectorized state: accumulator matrices + per-cell touch counts
-        self._vec: np.ndarray | None = None
-        self._vec_counts: np.ndarray | None = None
+        # vectorized state: per-cell input counts, one column per measure
+        # (None for count, which reads the counts), and per integer column
+        # a bound on the magnitude of any partial sum folded into it
+        self._counts: np.ndarray | None = None
+        self._columns: list[np.ndarray | None] = []
+        self._bounds: list[int] = [0] * len(names)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_cells = 0
 
     # -- interpreted path ----------------------------------------------------
 
@@ -169,82 +213,137 @@ class ResultAccumulator:
     # -- vectorized path ---------------------------------------------------------
 
     def _vec_init(self) -> None:
-        self._vec_counts = np.zeros(self.total_cells, dtype=np.int64)
-        columns = []
-        for name in self.agg_names:
-            if name == "min":
-                columns.append(np.full(self.total_cells, np.inf))
-            elif name == "max":
-                columns.append(np.full(self.total_cells, -np.inf))
-            else:
-                columns.append(np.zeros(self.total_cells, dtype=np.float64))
-        self._vec = np.stack(columns, axis=1)
+        self._counts = np.zeros(self.total_cells, dtype=np.int64)
+        if self._integral:
+            dtype, low, high = np.int64, -_INT64_MAX - 1, _INT64_MAX
+        else:
+            dtype, low, high = np.float64, -np.inf, np.inf
+        start = {"min": high, "max": low}  # sum / avg start at 0
+        self._columns = [
+            None  # count reads the per-cell counts
+            if name == "count"
+            else np.full(self.total_cells, start.get(name, 0), dtype)
+            for name in self.agg_names
+        ]
 
     def add_many(self, linear: np.ndarray, values: np.ndarray) -> None:
-        """Fold many cells at once (vectorized mode)."""
-        for name in self.agg_names:
-            if name not in _VECTOR_AGGS and name != "avg":
-                raise QueryError(
-                    f"aggregate {name!r} not supported in vectorized mode"
-                )
-        if self._vec is None:
+        """Queue many cells for the next batched fold (vectorized mode)."""
+        if self._unvectorizable:
+            raise QueryError(
+                f"aggregate {self._unvectorizable[0]!r} not supported in "
+                "vectorized mode"
+            )
+        self._pending.append((linear, values))
+        self._pending_cells += len(linear)
+        if self._pending_cells >= FOLD_CELLS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the pending batches into the result columns in one pass.
+
+        Batches concatenate in arrival order, so every ``ufunc.at`` call
+        applies repeated indices in the same order the interpreted loop
+        would: float sums round exactly as they do there.
+        """
+        if not self._pending:
+            return
+        if self._counts is None:
             self._vec_init()
-        np.add.at(self._vec_counts, linear, 1)
+        if len(self._pending) == 1:
+            linear, values = self._pending[0]
+        else:
+            linear = np.concatenate([p[0] for p in self._pending])
+            values = np.concatenate([p[1] for p in self._pending])
+        self._pending = []
+        self._pending_cells = 0
+        np.add.at(self._counts, linear, 1)
         for m, name in enumerate(self.agg_names):
-            column = values[:, m].astype(np.float64)
-            if name in ("sum", "avg"):
-                np.add.at(self._vec[:, m], linear, column)
-            elif name == "count":
-                np.add.at(self._vec[:, m], linear, 1.0)
-            elif name == "min":
-                np.minimum.at(self._vec[:, m], linear, column)
+            column = values[:, m]
+            if name == "min":
+                np.minimum.at(self._columns[m], linear, column)
             elif name == "max":
-                np.maximum.at(self._vec[:, m], linear, column)
+                np.maximum.at(self._columns[m], linear, column)
+            elif name != "count":  # sum / avg
+                self._add_exact(m, linear, column)
+
+    def _add_exact(self, m: int, linear: np.ndarray, column: np.ndarray) -> None:
+        """``np.add.at`` into sum column ``m`` without ever wrapping int64.
+
+        Every partial sum of a cell is at most the sum of the magnitudes
+        folded into the column so far; while that bound fits int64 the
+        column stays int64, and the first fold that could pass it turns
+        the column into Python ints (object dtype), which never wrap.
+        """
+        target = self._columns[m]
+        if target.dtype == np.int64:
+            largest = max(-int(column.min()), int(column.max())) if len(column) else 0
+            bound = self._bounds[m] + len(column) * largest
+            if bound <= _INT64_MAX:
+                self._bounds[m] = bound
+                np.add.at(target, linear, column)
+                return
+            target = self._columns[m] = target.astype(object)
+        if target.dtype == object:
+            column = column.astype(object)
+        np.add.at(target, linear, column)
 
     # -- extraction -------------------------------------------------------------------
 
-    def _group_values(self, linear: int) -> tuple:
-        out = []
-        for d, (spec, i2i, stride) in enumerate(
-            zip(self.specs, self.i2is, self.result_strides)
+    def _rows_at(self, linear: np.ndarray, measures: list[list]) -> list[tuple]:
+        """Unsorted rows for result cells ``linear`` (ascending or not).
+
+        Each kept dimension's group values come from one positional
+        decode of the whole ``linear`` column into that dimension's
+        target keys; the rows are the columns zipped together.
+        """
+        columns = []
+        for spec, i2i, stride, size in zip(
+            self.specs, self.i2is, self.result_strides, self.result_shape
         ):
             if spec.kind == "drop":
                 continue
-            index = (linear // stride) % self.result_shape[d]
-            out.append(i2i.target_keys[index])
-        return tuple(out)
+            keys = np.fromiter(i2i.target_keys, dtype=object, count=size)
+            columns.append(keys[(linear // stride) % size].tolist())
+        return list(zip(*columns, *measures))
+
+    def _vec_measures(self, touched: np.ndarray) -> list[list]:
+        counts = self._counts[touched].tolist()
+        out = []
+        for name, column in zip(self.agg_names, self._columns):
+            if name == "count":
+                out.append(counts)
+                continue
+            values = column[touched].tolist()
+            if name == "avg":
+                values = [s / c for s, c in zip(values, counts)]
+            out.append(values)
+        return out
 
     def rows(self) -> list[tuple]:
         """Sorted output rows: ``(group values..., aggregates...)``."""
+        self._fold()
         out = []
-        if self._vec is not None:
-            touched = np.nonzero(self._vec_counts)[0]
-            integral = self.array.dtype == "int64"
-            for linear in touched.tolist():
-                cells = []
-                for m, name in enumerate(self.agg_names):
-                    value = float(self._vec[linear, m])
-                    if name == "avg":
-                        value = value / float(self._vec_counts[linear])
-                    elif name == "count":
-                        value = int(value)
-                    elif integral:
-                        value = int(value)
-                    cells.append(value)
-                out.append(self._group_values(linear) + tuple(cells))
-        for linear, state in self._states.items():
-            results = tuple(
-                agg.result(state[m]) for m, agg in enumerate(self.aggs)
+        if self._counts is not None:
+            touched = np.flatnonzero(self._counts)
+            out = self._rows_at(touched, self._vec_measures(touched))
+        if self._states:
+            linear = np.fromiter(
+                self._states, dtype=np.int64, count=len(self._states)
             )
-            out.append(self._group_values(linear) + results)
+            states = list(self._states.values())
+            measures = [
+                [agg.result(state[m]) for state in states]
+                for m, agg in enumerate(self.aggs)
+            ]
+            out += self._rows_at(linear, measures)
         out.sort()
         return out
 
     def touched_cells(self) -> int:
         """Number of distinct result cells that received input."""
-        if self._vec is not None:
-            return int((self._vec_counts > 0).sum())
-        return len(self._states)
+        self._fold()
+        vectorized = 0 if self._counts is None else int(np.count_nonzero(self._counts))
+        return vectorized + len(self._states)
 
     # -- shard transport (the repro.shard scatter-gather hook) -------------------
 
@@ -252,23 +351,41 @@ class ResultAccumulator:
         """The accumulator's aggregate state as a picklable payload.
 
         Every interpreted aggregate state is a plain Python scalar or
-        tuple and the vectorized state is a pair of ndarrays, so the
-        payload crosses a process boundary losslessly.  The structural
-        parts (array, specs, strides) are *not* included — the receiver
-        rebuilds an accumulator against its own array handle and calls
-        :meth:`import_state`.
+        tuple; the vectorized state ships only its touched cells: their
+        positions, input counts and per-measure values, each column in
+        its own exact dtype (int64, float64, or Python ints once a sum
+        outgrew int64), plus the integer columns' magnitude bounds.  So
+        the payload crosses a process boundary losslessly.  The
+        structural parts (array, specs, strides) are *not* included —
+        the receiver rebuilds an accumulator against its own array
+        handle and calls :meth:`import_state`.
         """
-        return {
+        self._fold()
+        payload = {
             "states": {int(k): list(v) for k, v in self._states.items()},
-            "vec": self._vec,
-            "vec_counts": self._vec_counts,
+            "touched": None,
         }
+        if self._counts is not None:
+            touched = np.flatnonzero(self._counts)
+            payload.update(
+                touched=touched,
+                counts=self._counts[touched],
+                columns=[
+                    None if column is None else column[touched]
+                    for column in self._columns
+                ],
+                bounds=list(self._bounds),
+            )
+        return payload
 
     def import_state(self, payload: dict) -> "ResultAccumulator":
         """Restore a payload produced by :meth:`export_state`."""
-        self._states = {int(k): list(v) for k, v in payload["states"].items()}
-        self._vec = payload["vec"]
-        self._vec_counts = payload["vec_counts"]
+        self._states = {}
+        self._counts = None
+        self._pending = []
+        self._pending_cells = 0
+        self._bounds = [0] * len(self.agg_names)
+        self._merge_state(payload)
         return self
 
     # -- partition merging (the §6 parallelization hook) ------------------------
@@ -279,28 +396,48 @@ class ResultAccumulator:
         This is the combine step of a partitioned consolidation: each
         partition aggregates its chunk range independently, then the
         states merge exactly (every aggregate carries a mergeable
-        sketch).
+        sketch; integer sums keep to the same int64-or-Python-int rule
+        as a fold).
         """
         if other.result_shape != self.result_shape or other.agg_names != self.agg_names:
             raise QueryError("cannot merge accumulators with different specs")
-        for linear, state in other._states.items():
-            mine = self._states.get(linear)
+        self._merge_state(other.export_state())
+
+    def _merge_state(self, payload: dict) -> None:
+        """Merge an :meth:`export_state` payload into this accumulator."""
+        for linear, state in payload["states"].items():
+            mine = self._states.get(int(linear))
             if mine is None:
-                self._states[linear] = list(state)
+                self._states[int(linear)] = list(state)
             else:
                 for m, agg in enumerate(self.aggs):
                     mine[m] = agg.merge(mine[m], state[m])
-        if other._vec is not None:
-            if self._vec is None:
-                self._vec_init()
-            self._vec_counts += other._vec_counts
-            for m, name in enumerate(self.agg_names):
-                if name == "min":
-                    np.minimum(self._vec[:, m], other._vec[:, m], out=self._vec[:, m])
-                elif name == "max":
-                    np.maximum(self._vec[:, m], other._vec[:, m], out=self._vec[:, m])
-                else:  # sum / count / avg accumulate additively
-                    self._vec[:, m] += other._vec[:, m]
+        touched = payload["touched"]
+        if touched is None:
+            return
+        self._fold()
+        if self._counts is None:
+            self._vec_init()
+        self._counts[touched] += payload["counts"]
+        for m, name in enumerate(self.agg_names):
+            mine, theirs = self._columns[m], payload["columns"][m]
+            if name == "min":
+                mine[touched] = np.minimum(mine[touched], theirs)
+            elif name == "max":
+                mine[touched] = np.maximum(mine[touched], theirs)
+            elif name != "count":  # sum / avg
+                bound = self._bounds[m] + payload["bounds"][m]
+                if (
+                    mine.dtype == object
+                    or theirs.dtype == object
+                    or (self._integral and bound > _INT64_MAX)
+                ):
+                    if mine.dtype != object:
+                        mine = self._columns[m] = mine.astype(object)
+                    theirs = theirs.astype(object)
+                else:
+                    self._bounds[m] = bound
+                mine[touched] += theirs
 
 
 def allowed_masks(
@@ -353,12 +490,12 @@ def scan_chunk_range(
     scanned = 0
     chunks_read = 0
     chunks_skipped = 0
+    cell_strides = geometry.cell_strides
+    chunk_shape = geometry.chunk_shape
+    ndim = geometry.ndim
     if mode == "interpreted":
         maps = accumulator.mapping_lists()
         strides = accumulator.result_strides
-        cell_strides = geometry.cell_strides
-        chunk_shape = geometry.chunk_shape
-        ndim = geometry.ndim
         mask_lists = [m.tolist() for m in masks] if masks is not None else None
         for chunk_no in chunk_range:
             if masks is not None and not _chunk_overlaps(
@@ -385,8 +522,16 @@ def scan_chunk_range(
                     accumulator.add_one(linear, value_rows[j])
                     scanned += 1
     else:
-        strides = np.array(accumulator.result_strides, dtype=np.int64)
-        maps = [i.mapping.astype(np.int64) for i in accumulator.i2is]
+        # per dimension: array index -> its term of the result position
+        # (dropped dimensions contribute nothing and are left out)
+        scaled = {
+            d: i2i.mapping.astype(np.int64) * stride
+            for d, (spec, i2i, stride) in enumerate(
+                zip(accumulator.specs, accumulator.i2is, accumulator.result_strides)
+            )
+            if spec.kind != "drop"
+        }
+        decoded = set(scaled) | (set(range(ndim)) if masks is not None else set())
         for chunk_no in chunk_range:
             if masks is not None and not _chunk_overlaps(
                 geometry, chunk_no, masks
@@ -397,20 +542,25 @@ def scan_chunk_range(
             if not len(offsets):
                 continue
             chunks_read += 1
-            coords = geometry.chunk_offset_to_coords(chunk_no, offsets)
+            origin = geometry.chunk_origin(chunk_no)
+            index = {
+                d: origin[d] + (offsets // cell_strides[d]) % chunk_shape[d]
+                for d in decoded
+            }
             if masks is not None:
-                keep = np.ones(len(offsets), dtype=bool)
-                for d in range(geometry.ndim):
-                    keep &= masks[d][coords[:, d]]
-                if not keep.any():
-                    continue
-                coords = coords[keep]
-                values = values[keep]
-            linear = np.zeros(len(coords), dtype=np.int64)
-            for d in range(geometry.ndim):
-                linear += maps[d][coords[:, d]] * strides[d]
+                keep = masks[0][index[0]]
+                for d in range(1, ndim):
+                    keep &= masks[d][index[d]]
+                if not keep.all():
+                    if not keep.any():
+                        continue
+                    index = {d: i[keep] for d, i in index.items()}
+                    values = values[keep]
+            linear = np.zeros(len(values), dtype=np.int64)
+            for d, terms in scaled.items():
+                linear += terms[index[d]]
             accumulator.add_many(linear, values)
-            scanned += len(coords)
+            scanned += len(linear)
     if counters is not None:
         counters.add("chunks_read", chunks_read)
         counters.add("cells_scanned", scanned)

@@ -96,6 +96,12 @@ class OLAPArray:
         and the IndexToIndex arrays, as the paper's runs did.  An
         attached chunk cache drops this array's decoded chunks for the
         same reason.
+
+        Attribute B-tree handles (:meth:`attribute_index`) survive the
+        boundary: only the first cold query that probes an attribute
+        pays for opening its B-tree, and every later cold run of the
+        same query reads exactly the same pages.  Dropping them would
+        add that open's page reads to every cold query.
         """
         self._dir_cache = None
         self._i2i_cache.clear()

@@ -28,6 +28,7 @@ re-reads its chunk through the buffer pool.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -248,41 +249,50 @@ def _enumerate_chunked_vectorized(
     counters: Counters,
 ) -> None:
     geometry = array.geometry
-    ndim = geometry.ndim
     grouped = _group_by_grid(final_lists, geometry.chunk_shape)
     if any(not g for g in grouped):
         return
     grid_coords = [sorted(g) for g in grouped]
-    maps = [i.mapping.astype(np.int64) for i in accumulator.i2is]
-    result_strides = accumulator.result_strides
-    cell_strides = geometry.cell_strides
-    chunk_shape = geometry.chunk_shape
     grid_strides = geometry.grid_strides
+    # each selected index's in-chunk offset term and result-position
+    # term, per dimension and grid coordinate: built once per query
+    offset_terms: list[dict[int, np.ndarray]] = []
+    result_terms: list[dict[int, np.ndarray]] = []
+    for d, (i2i, stride) in enumerate(
+        zip(accumulator.i2is, accumulator.result_strides)
+    ):
+        terms = i2i.mapping.astype(np.int64) * stride
+        offsets_d, results_d = {}, {}
+        for g, indices in grouped[d].items():
+            idx = np.array(indices, dtype=np.int64)
+            offsets_d[g] = (idx % geometry.chunk_shape[d]) * geometry.cell_strides[d]
+            results_d[g] = terms[idx]
+        offset_terms.append(offsets_d)
+        result_terms.append(results_d)
 
-    import itertools
-
+    probed = 0
+    empty = 0
     for chunk_grid in itertools.product(*grid_coords):
         chunk_no = sum(g * s for g, s in zip(chunk_grid, grid_strides))
         offsets, values = array.read_chunk(chunk_no)
         if not len(offsets):
-            counters.add("empty_chunks_skipped")
+            empty += 1
             continue
-        offset_parts = []
-        result_parts = []
-        for d in range(ndim):
-            idx = np.array(grouped[d][chunk_grid[d]], dtype=np.int64)
-            offset_parts.append((idx % chunk_shape[d]) * cell_strides[d])
-            result_parts.append(maps[d][idx] * result_strides[d])
-        candidate_offsets = _outer_sum(offset_parts)
-        candidate_results = _outer_sum(result_parts)
-        counters.add("cells_probed", candidate_offsets.size)
+        candidate_offsets = _outer_sum(
+            [offset_terms[d][g] for d, g in enumerate(chunk_grid)]
+        )
+        probed += candidate_offsets.size
         positions = np.searchsorted(offsets, candidate_offsets)
-        positions_clipped = np.minimum(positions, len(offsets) - 1)
-        hits = offsets[positions_clipped] == candidate_offsets
+        np.minimum(positions, len(offsets) - 1, out=positions)
+        hits = offsets[positions] == candidate_offsets
         if hits.any():
-            accumulator.add_many(
-                candidate_results[hits], values[positions_clipped[hits]]
+            candidate_results = _outer_sum(
+                [result_terms[d][g] for d, g in enumerate(chunk_grid)]
             )
+            accumulator.add_many(candidate_results[hits], values[positions[hits]])
+    counters.add("cells_probed", probed)
+    if empty:
+        counters.add("empty_chunks_skipped", empty)
 
 
 def _outer_sum(parts: list[np.ndarray]) -> np.ndarray:
@@ -308,8 +318,6 @@ def _enumerate_naive(
     ndim = geometry.ndim
     maps = accumulator.mapping_lists()
     result_strides = accumulator.result_strides
-
-    import itertools
 
     for coords in itertools.product(*final_lists):
         counters.add("cells_probed")

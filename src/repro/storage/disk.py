@@ -24,6 +24,12 @@ from repro.util.stats import Counters
 
 DEFAULT_PAGE_SIZE = 8192
 
+#: per access kind, the page-count and byte-count counter names
+_KIND_COUNTERS = {
+    "read": ("pages_read", "bytes_read"),
+    "written": ("pages_written", "bytes_written"),
+}
+
 
 @dataclass(frozen=True)
 class DiskModel:
@@ -108,11 +114,16 @@ class SimulatedDisk:
         else:
             jump = page_id - self._last_accessed
         seconds = self.model.access_seconds(self.page_size, jump)
-        self.counters.add("sim_io_s", seconds)
+        pages, nbytes = _KIND_COUNTERS[kind]
         if jump != 1:
-            self.counters.add("seeks")
-        self.counters.add(f"pages_{kind}")
-        self.counters.add(f"bytes_{kind}", self.page_size)
+            self.counters.add_all(
+                (("sim_io_s", seconds), ("seeks", 1.0), (pages, 1.0),
+                 (nbytes, self.page_size))
+            )
+        else:
+            self.counters.add_all(
+                (("sim_io_s", seconds), (pages, 1.0), (nbytes, self.page_size))
+            )
         self._last_accessed = page_id
 
     def read_page(self, page_id: int) -> bytes:

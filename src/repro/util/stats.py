@@ -34,6 +34,17 @@ class Counters:
         with self._lock:
             self._values[name] += amount
 
+    def add_all(self, items) -> None:
+        """Increment several counters under one lock acquisition.
+
+        ``items`` is an iterable of ``(name, amount)`` pairs, applied in
+        order — the same sums as one :meth:`add` per pair.
+        """
+        with self._lock:
+            values = self._values
+            for name, amount in items:
+                values[name] += amount
+
     def get(self, name: str) -> float:
         """Current value of ``name`` (0 if never incremented)."""
         with self._lock:

@@ -1,10 +1,14 @@
 """Tests for the §4.1 array consolidation algorithm."""
 
+import importlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConsolidationSpec, OLAPArray, consolidate
+from repro.core.consolidate import ResultAccumulator
 from repro.core.builder import build_olap_array
 from repro.errors import QueryError
 from repro.util.stats import Counters
@@ -20,6 +24,8 @@ from .conftest import (
 )
 
 LEVEL1 = [ConsolidationSpec.level("h1")] * 3
+# the package re-exports the function under the module's name
+consolidate_module = importlib.import_module("repro.core.consolidate")
 
 
 @pytest.mark.parametrize("mode", ["interpreted", "vectorized"])
@@ -111,6 +117,61 @@ class TestModeEquivalence:
         for ra, rb in zip(a.rows, b.rows):
             assert ra[:-1] == rb[:-1]
             assert ra[-1] == pytest.approx(rb[-1])
+
+
+class TestExactVectorized:
+    """The vectorized fold returns exactly the interpreted fold's values."""
+
+    @staticmethod
+    def _build(fm, name, facts, dtype="int64"):
+        return build_olap_array(
+            fm, name, make_dimensions(), facts, (3, 2, 4), dtype=dtype
+        )
+
+    def test_avg_is_exact(self, cube):
+        array, _ = cube
+        a = consolidate(array, LEVEL1, aggregate="avg", mode="interpreted")
+        b = consolidate(array, LEVEL1, aggregate="avg", mode="vectorized")
+        assert a.rows == b.rows
+
+    def test_int64_edges_never_round_or_wrap(self, fm_big):
+        facts = make_facts(density=0.4, seed=3)
+        big = [2**53, 1, 2**62, 2**62, -(2**63), 2**63 - 1, -1]
+        facts = [row[:3] + (big[i % len(big)],) for i, row in enumerate(facts)]
+        array = self._build(fm_big, "edges", facts)
+        for aggregate in ("sum", "count", "min", "max", "avg"):
+            a = consolidate(array, LEVEL1, aggregate=aggregate, mode="interpreted")
+            b = consolidate(array, LEVEL1, aggregate=aggregate, mode="vectorized")
+            assert a.rows == b.rows, aggregate
+        sums = consolidate(array, [ConsolidationSpec.drop()] * 3, mode="vectorized")
+        assert sums.rows == [(sum(row[3] for row in facts),)]
+
+    def test_float_sums_round_in_scan_order_across_folds(
+        self, fm_big, monkeypatch
+    ):
+        # several folds land in one cell; a per-batch reduction would
+        # round differently than the interpreted left-to-right sum
+        monkeypatch.setattr(consolidate_module, "FOLD_CELLS", 3)
+        facts = make_facts(density=0.6, seed=5)
+        terms = [1e16, 1.0, -1e16, 0.1, 3.3e-5, 7.0, 1e-3]
+        facts = [row[:3] + (terms[i % len(terms)],) for i, row in enumerate(facts)]
+        array = self._build(fm_big, "floats", facts, dtype="float64")
+        specs = [ConsolidationSpec.drop()] * 3
+        for aggregate in ("sum", "avg", "min", "max"):
+            a = consolidate(array, specs, aggregate=aggregate, mode="interpreted")
+            b = consolidate(array, specs, aggregate=aggregate, mode="vectorized")
+            assert a.rows == b.rows, aggregate
+
+    def test_fold_buffer_stays_bounded(self, cube, monkeypatch):
+        monkeypatch.setattr(consolidate_module, "FOLD_CELLS", 8)
+        array, facts = cube
+        acc = ResultAccumulator(array, LEVEL1)
+        for chunk_no in range(array.geometry.n_chunks):
+            offsets, values = array.read_chunk(chunk_no)
+            acc.add_many(np.zeros(len(offsets), dtype=np.int64), values)
+            assert acc._pending_cells < 8
+        assert acc.touched_cells() == 1
+        assert acc.rows() == [("A00", "A10", "A20", sum(r[3] for r in facts))]
 
 
 class TestValidation:

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.data import (
+    cube_schema_for,
+    generate_dimension_rows,
+    generate_fact_rows,
+)
 from repro.errors import CatalogError, PlanError, QueryError
-from repro.olap import ConsolidationQuery, SelectionPredicate
+from repro.olap import ConsolidationQuery, OlapEngine, SelectionPredicate
 
 from .conftest import CONFIG, reference
 
@@ -207,6 +212,22 @@ class TestResultMetadata:
         cold = engine.query(Q1, backend="starjoin", cold=True)
         warm = engine.query(Q1, backend="starjoin", cold=False)
         assert warm.stats.get("pages_read", 0) <= cold.stats["pages_read"]
+
+    def test_cold_array_q2_io_repeats_after_first_btree_open(self):
+        # attribute B-tree handles survive cold boundaries: only the
+        # first cold Q2 pays their open, later cold runs read the same
+        engine = OlapEngine(page_size=1024, pool_bytes=1024 * 1024)
+        engine.load_cube(
+            cube_schema_for(CONFIG),
+            generate_dimension_rows(CONFIG),
+            generate_fact_rows(CONFIG),
+            chunk_shape=CONFIG.chunk_shape,
+        )
+        runs = [engine.query(Q2, backend="array", cold=True) for _ in range(3)]
+        io = [(r.stats["pages_read"], r.sim_io_s) for r in runs]
+        assert io[1] == io[2]
+        assert io[0][0] > io[1][0]
+        assert runs[0].rows == runs[1].rows == runs[2].rows
 
     def test_stats_contain_algorithm_counters(self, engine):
         result = engine.query(Q1, backend="starjoin")
